@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.config import AnalyzerConfig
 from ..dut.active_rc import ActiveRCLowpass, FilterComponents
 from .limits import SpecMask
@@ -104,6 +106,25 @@ def _truly_good(dut: ActiveRCLowpass, mask: SpecMask, frequencies) -> bool:
         if not lo <= gain <= hi:
             return False
     return True
+
+
+def truly_good_rows(population, mask: SpecMask, frequencies) -> np.ndarray:
+    """:func:`_truly_good` for every row of a device population at once.
+
+    One stacked golden-gain evaluation (``population.gain_db_at``,
+    bit-identical to each device's :meth:`~repro.dut.base.DUT.gain_db_at`)
+    compared against the same limits.
+    """
+    frequencies = [float(f) for f in frequencies]
+    gains = population.gain_db_at(frequencies)
+    good = np.ones(len(population), dtype=bool)
+    for j, f in enumerate(frequencies):
+        limits = mask.limits_at(f)
+        if limits is None:
+            continue
+        lo, hi = limits
+        good &= (lo <= gains[:, j]) & (gains[:, j] <= hi)
+    return good
 
 
 def default_yield_config(program: BISTProgram) -> AnalyzerConfig:

@@ -17,6 +17,9 @@ The analyzer characterizes analog blocks; this package provides them:
   (Wiener/Hammerstein) used for the harmonic-distortion experiment.
 * :mod:`~repro.dut.faults` — parametric fault models for the BIST
   application layer.
+* :mod:`~repro.dut.population` — whole device lots as one stacked
+  population (the vectorized backend's DUT model), bit-identical to
+  the per-device calls.
 """
 
 from .base import DUT, PassthroughDUT

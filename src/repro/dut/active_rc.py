@@ -30,6 +30,7 @@ import numpy as np
 from ..errors import ConfigError, FaultError
 from ..signals.waveform import Waveform
 from .base import DUT
+from .population import MFB_COMPONENTS, mfb_state_matrices
 from .statespace import StateSpaceDUT
 
 
@@ -44,13 +45,17 @@ class FilterComponents:
     c2: float
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r2", "r3", "c1", "c2"):
+        for name in self._NAMES:
             if not getattr(self, name) > 0:
                 raise ConfigError(
                     f"component {name} must be positive, got {getattr(self, name)!r}"
                 )
 
-    _NAMES = ("r1", "r2", "r3", "c1", "c2")
+    _NAMES = MFB_COMPONENTS
+
+    def values(self) -> tuple[float, ...]:
+        """The component values in :data:`~repro.dut.population.MFB_COMPONENTS` order."""
+        return tuple(getattr(self, name) for name in self._NAMES)
 
     def perturbed(self, name: str, relative_change: float) -> "FilterComponents":
         """A copy with one component deviated by a relative amount."""
@@ -70,13 +75,30 @@ class FilterComponents:
         self, sigma: float, rng: np.random.Generator
     ) -> "FilterComponents":
         """A manufacturing-spread copy (each component i.i.d. Gaussian)."""
+        return FilterComponents(*self.tolerance_spread(sigma, rng, 1)[0])
+
+    def tolerance_spread(
+        self, sigma: float, rng: np.random.Generator, n: int
+    ) -> np.ndarray:
+        """``n`` manufacturing-spread copies as an ``(n, 5)`` array.
+
+        Device-major draws: row ``i`` consumes the five normals that
+        the ``i``-th of ``n`` sequential :meth:`with_tolerance` calls
+        would, in component order, so a lot drawn as one array equals
+        the lot drawn device by device.
+        """
         if sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {sigma!r}")
-        values = {
-            name: getattr(self, name) * (1.0 + rng.normal(0.0, sigma))
-            for name in self._NAMES
-        }
-        return FilterComponents(**values)
+        nominal = np.array(self.values())
+        values = nominal * (1.0 + rng.normal(0.0, sigma, size=(n, len(nominal))))
+        bad = np.argwhere(~(values > 0))
+        if len(bad):
+            row, col = bad[0]
+            raise ConfigError(
+                f"component {self._NAMES[col]} must be positive, "
+                f"got {float(values[row, col])!r}"
+            )
+        return values
 
 
 def design_mfb_lowpass(
@@ -154,20 +176,10 @@ class ActiveRCLowpass(DUT):
         return cls(comps, polarity, name=f"active-RC LP ({cutoff:g} Hz)")
 
     def _build_core(self) -> StateSpaceDUT:
-        comps = self.components
-        g1 = 1.0 / comps.r1
-        g2 = 1.0 / comps.r2
-        g3 = 1.0 / comps.r3
-        a = np.array(
-            [
-                [-(g1 + g2 + g3) / comps.c1, g2 / comps.c1],
-                [-g3 / comps.c2, 0.0],
-            ]
-        )
-        b = np.array([g1 / comps.c1, 0.0])
+        a, b = mfb_state_matrices([self.components.values()])
         # MFB output inverts; fold the board polarity into C.
         c = np.array([0.0, -float(self.polarity)])
-        return StateSpaceDUT(a, b, c, 0.0, name=self.name)
+        return StateSpaceDUT(a[0], b[0], c, 0.0, name=self.name)
 
     # ------------------------------------------------------------------
     # Derived design figures
@@ -208,6 +220,9 @@ class ActiveRCLowpass(DUT):
 
     def reset(self) -> None:
         self._core.reset()
+
+    def state_space(self) -> StateSpaceDUT:
+        return self._core
 
     def settling_time(self, tolerance: float = 1e-6) -> float:
         """Lead-in the analyzer should discard before integrating."""

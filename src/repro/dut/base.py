@@ -10,10 +10,14 @@ the lab's reference instruments play in the paper.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..signals.waveform import Waveform
+
+if TYPE_CHECKING:
+    from .statespace import StateSpaceDUT
 
 
 class DUT(abc.ABC):
@@ -46,6 +50,16 @@ class DUT(abc.ABC):
         Stateless devices return 0; dynamic devices override.
         """
         return 0.0
+
+    def state_space(self) -> "StateSpaceDUT | None":
+        """The device's exact LTI core, or ``None`` (the default).
+
+        Devices whose response is exactly a continuous state-space
+        system return it (a :class:`~repro.dut.statespace.StateSpaceDUT`);
+        :mod:`repro.dut.population` stacks 2-state cores into one
+        array population.
+        """
+        return None
 
     def batch_response(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
         """Zero-state response samples for one batch-engine measurement.

@@ -15,12 +15,12 @@ interval's state update, i.e. ``y[n] = C x(t_n) + D u[n]``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.signal import lfilter, ss2tf
 
 from ..errors import ConfigError
 from ..signals.waveform import Waveform
 from .base import DUT
+from .population import LTIPopulation, zoh_discretize
 
 
 class StateSpaceDUT(DUT):
@@ -106,31 +106,45 @@ class StateSpaceDUT(DUT):
     def reset(self) -> None:
         self._x = np.zeros(self.order)
 
+    def state_space(self) -> "StateSpaceDUT":
+        return self
+
     def _discretize(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         key = round(dt, 18)
         cached = self._disc_cache.get(key)
         if cached is not None:
             return cached
-        n = self.order
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = self.a * dt
-        block[:n, n] = self.b * dt
-        ed = expm(block)
-        ad = ed[:n, :n]
-        bd = ed[:n, n]
+        ad, bd = zoh_discretize(self.a, self.b, dt)
         self._disc_cache[key] = (ad, bd)
         return ad, bd
 
     def _zoh_transfer(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cached z-domain ``(num, den)`` of the exact ZOH discretization."""
+        """Cached z-domain ``(num, den)`` of the exact ZOH discretization.
+
+        A 2-state system is discretized as a population of one
+        (:meth:`repro.dut.population.LTIPopulation.zoh_transfer`), the
+        routine the vectorized backend runs on whole lots — so both
+        backends share one discretization.  Other orders use
+        :func:`scipy.signal.ss2tf`, which that routine reproduces bit
+        for bit.
+        """
         key = round(dt, 18)
         cached = self._tf_cache.get(key)
         if cached is not None:
             return cached
-        ad, bd = self._discretize(dt)
-        num, den = ss2tf(ad, bd.reshape(-1, 1), self.c.reshape(1, -1), [[self.d]])
-        self._tf_cache[key] = (num[0], den)
-        return num[0], den
+        if self.order == 2:
+            num, den = LTIPopulation(
+                self.a[None], self.b[None], self.c, self.d
+            ).zoh_transfer(dt)
+            result = (num[0], den[0])
+        else:
+            ad, bd = self._discretize(dt)
+            num, den = ss2tf(
+                ad, bd.reshape(-1, 1), self.c.reshape(1, -1), [[self.d]]
+            )
+            result = (num[0], den)
+        self._tf_cache[key] = result
+        return result
 
     def batch_response(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
         """Zero-state ZOH output samples, final state not recovered.
@@ -157,8 +171,8 @@ class StateSpaceDUT(DUT):
         u = waveform.samples
         n = len(u)
         if not np.any(self._x):
-            num, den = ss2tf(ad, bd.reshape(-1, 1), self.c.reshape(1, -1), [[self.d]])
-            out = lfilter(num[0], den, u)
+            num, den = self._zoh_transfer(waveform.dt)
+            out = lfilter(num, den, u)
             # Recover the final physical state for contract consistency:
             # replay only matters for subsequent stateful calls, which are
             # rare; do it only when the caller could observe it (short

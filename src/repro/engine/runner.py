@@ -43,7 +43,7 @@ from ..core.bode import BodeResult
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement
-from ..dut.active_rc import ActiveRCLowpass, FilterComponents
+from ..dut.active_rc import FilterComponents
 from ..dut.base import DUT
 from ..errors import ConfigError
 from ..obs.metrics import MetricRegistry
@@ -773,7 +773,10 @@ class BatchRunner:
         Component values are drawn serially from one seeded RNG in
         device order (so the lot is a function of ``seed`` alone —
         identical across backends and across chunk boundaries), then
-        each device trial is dispatched as an independent job.  When
+        each device trial is dispatched as an independent job.  The
+        vectorized backend draws each chunk as one ``(chunk, 5)``
+        component array and measures it as a stacked population, with
+        no per-device objects.  When
         ``chunk_size`` is set the lot streams through the engine one
         chunk of devices at a time, so a million-device lot never holds
         more than one chunk's devices and responses in memory.  The
@@ -807,17 +810,13 @@ class BatchRunner:
                 for k, (start, stop) in enumerate(
                     self._chunk_bounds(n_devices)
                 ):
-                    devices = [
-                        ActiveRCLowpass(
-                            nominal.with_tolerance(component_sigma, rng),
-                            name=f"device #{i}",
-                        )
-                        for i in range(start, stop)
-                    ]
+                    components = nominal.tolerance_spread(
+                        component_sigma, rng, stop - start
+                    )
                     with self._chunk_span(k, start, stop):
                         trials.extend(
                             run_trials_vectorized(
-                                devices,
+                                components,
                                 mask,
                                 program,
                                 config=config,

@@ -12,9 +12,16 @@ operations:
   clock — the same fact that makes the paper's one-off calibration
   valid), so a single render serves every device and every sweep
   frequency; each job's lead-in is a prefix of the same sequence.
-* **Lean per-device DUT response** via :meth:`~repro.dut.base.DUT.batch_response`
-  (the same exact ZOH ``lfilter`` evaluation as the reference, minus the
-  final-state recovery the population path never observes).
+* **Population DUT model.**  A slot's devices arrive as one
+  :mod:`repro.dut.population` object: 2-state LTI devices (the paper's
+  active-RC low-pass, in lots and fault catalogs) as stacked matrices
+  whose ZOH discretization, settling times and golden gains are a few
+  stacked array calls, bit-identical to the per-device ones; any other
+  device as a :class:`~repro.dut.population.DeviceList` answering
+  through its own :meth:`~repro.dut.base.DUT.batch_response`.  Either
+  way the response is the exact ZOH ``lfilter`` evaluation of the
+  reference, minus the final-state recovery the population path never
+  observes.
 * **Population-batched modulators.**  The exact closed-form bitstream of
   the ideal modulator runs as row-wise ``cumsum``/``floor`` over the
   whole population at once; non-ideal (noisy) modulators run the
@@ -63,6 +70,7 @@ from ..core import compensation
 from ..core.calibration import CalibrationResult
 from ..core.config import AnalyzerConfig
 from ..core.measurement import GainPhaseMeasurement, StimulusMeasurement
+from ..dut.population import LTIPopulation, population_of
 from ..errors import ConfigError
 from ..evaluator.counters import SignatureCounter
 from ..evaluator.dsp import SignatureDSP, correlation_gain, phase_offset
@@ -202,7 +210,10 @@ def _nonideal_bits(
         feedback = np.where(decide, vref, -vref)
         target = leak * u + g * (w_t[i] + offset + noise_t[i] - feedback)
         u = target - settle * (target - u)
-        np.clip(u, -u_sat, u_sat, out=u)
+        # Saturation as two in-place ufuncs: the same values as
+        # ``np.clip`` (v_sat > 0), without its Python wrapper per step.
+        np.maximum(u, -u_sat, out=u)
+        np.minimum(u, u_sat, out=u)
     return bits
 
 
@@ -227,13 +238,14 @@ class PopulationMeasurer:
     """Batched gain/phase measurement of a device population.
 
     One measurer is bound to ``(config, m_periods, calibration)`` — the
-    invariants of a campaign — and measures *slots*: lists of
-    ``(dut, fwave, rng)`` entries evaluated together as array batches.
-    A fault campaign calls one slot per probe frequency (the population
-    axis is devices); a sweep calls a single slot whose population axis
-    is the sweep points themselves.
+    invariants of a campaign — and measures *slots*: a device population
+    (see :mod:`repro.dut.population`) with one stimulus frequency and
+    one job RNG per row, evaluated together as array batches.  A fault
+    campaign calls one slot per probe frequency (the population axis is
+    devices); a sweep calls a single slot whose population axis is the
+    sweep points themselves (one device, stacked once per point).
 
-    The per-entry ``rng`` is the job's private noise stream (or None);
+    The per-row ``rng`` is the job's private noise stream (or None);
     streams are consumed across consecutive slots in exactly the order
     the reference per-job path consumes them, which is what makes the
     batched results match the reference backend.
@@ -269,7 +281,6 @@ class PopulationMeasurer:
         )
         self._generator: SinewaveGenerator | None = None
         self._stimulus = np.empty(0)
-        self._settle_cache: dict[int, tuple[object, float]] = {}
 
     # ------------------------------------------------------------------
     # Shared stimulus
@@ -322,44 +333,24 @@ class PopulationMeasurer:
             self._stimulus = held.samples
         return self._stimulus[:needed]
 
-    def _settle_seconds(self, dut) -> float:
-        settle = getattr(dut, "settling_time", None)
-        if settle is None:
-            return 0.0
-        cached = self._settle_cache.get(id(dut))
-        if cached is None or cached[0] is not dut:
-            seconds = settle(self.config.dut_settle_tolerance)
-            self._settle_cache[id(dut)] = (dut, seconds)
-        else:
-            seconds = cached[1]
-        return seconds
+    def _lead_periods(self, population, fwaves: np.ndarray) -> np.ndarray:
+        """Each row's DUT settling lead-in, in whole tone periods (as the analyzer)."""
+        settle = population.settling_time(self.config.dut_settle_tolerance)
+        return np.ceil(settle * fwaves).astype(np.int64)
 
-    def _lead_periods(self, dut, fwave: float) -> int:
-        """The DUT settling lead-in, in whole tone periods (as the analyzer)."""
-        return int(math.ceil(self._settle_seconds(dut) * fwave))
-
-    def reserve(self, duts, fwaves) -> None:
+    def reserve(self, population, fwaves) -> None:
         """Pre-render the stimulus for a whole campaign's worst lead-in.
 
         A multi-slot campaign (one slot per probe frequency) otherwise
         re-renders whenever a later slot needs a longer lead; rendering
         the worst case once up front makes every slot a prefix hit.
-
-        ``reserve`` also marks a chunk boundary: the measurer outlives
-        chunks (one measurer per batch), so settle-seconds memos for
-        earlier chunks' devices are dead weight — and their strong
-        references would grow the footprint with the lot instead of the
-        chunk.  Each reservation starts the memo fresh.
         """
-        self._settle_cache.clear()
         fwaves = [float(f) for f in fwaves]
         if not fwaves or self._noisy_generator:
-            # A noisy generator renders per device (no shared prefix to
-            # warm); the settle-seconds cache still fills lazily.
+            # A noisy generator renders per device: no shared prefix.
             return
-        worst_seconds = max(
-            (self._settle_seconds(dut) for dut in duts), default=0.0
-        )
+        settle = population.settling_time(self.config.dut_settle_tolerance)
+        worst_seconds = float(np.max(settle))
         self._stimulus_samples(
             int(math.ceil(worst_seconds * max(fwaves))) + self.m_periods
         )
@@ -367,33 +358,40 @@ class PopulationMeasurer:
     # ------------------------------------------------------------------
     # One batched slot
     # ------------------------------------------------------------------
-    def measure(self, entries) -> list[GainPhaseMeasurement]:
-        """Measure one slot of ``(dut, fwave, rng)`` entries, batched."""
-        entries = list(entries)
-        if not entries:
+    def measure(self, population, fwaves, rngs) -> list[GainPhaseMeasurement]:
+        """Measure one slot, batched: row ``i`` of ``population`` at
+        stimulus frequency ``fwaves[i]`` on job RNG ``rngs[i]``."""
+        fwaves = [float(f) for f in fwaves]
+        rngs = list(rngs)
+        n_devices = len(population)
+        if not n_devices:
             raise ConfigError("population slot is empty")
+        if len(fwaves) != n_devices or len(rngs) != n_devices:
+            raise ConfigError(
+                f"population slot has {n_devices} devices but "
+                f"{len(fwaves)} frequencies and {len(rngs)} RNGs"
+            )
         config = self.config
         m = self.m_periods
         n = OVERSAMPLING_RATIO
-        n_devices = len(entries)
-        leads = [self._lead_periods(dut, fwave) for dut, fwave, _ in entries]
+        fwave_array = np.array(fwaves)
+        leads = self._lead_periods(population, fwave_array)
 
         if self._noisy_generator:
-            responses = self._noisy_responses(entries, leads)
+            inputs = self._noisy_stimuli(rngs, leads)
         else:
-            stimulus = self._stimulus_samples(max(leads) + m)
-            responses = np.empty((n_devices, self.mn))
-            for i, ((dut, fwave, _), lead) in enumerate(zip(entries, leads)):
-                prefix = stimulus[: (lead + m) * n]
-                output = dut.batch_response(prefix, fwave * n)
-                responses[i] = output[lead * n : lead * n + self.mn]
+            stimulus = self._stimulus_samples(int(leads.max()) + m)
+            inputs = [stimulus[: (lead + m) * n] for lead in leads.tolist()]
+        responses = population.windowed_responses(
+            inputs, fwave_array * n, leads * n, self.mn
+        )
 
         # Per-job RNG consumption, reference order: power-up states
         # first, then channel-1 noise, then channel-2 noise.
         u0 = np.zeros((n_devices, 2))
         if config.random_modulator_state and self._has_rng:
             bound = 0.5 * self.evaluator.channel1.state_bound
-            for i, (_, _, rng) in enumerate(entries):
+            for i, rng in enumerate(rngs):
                 if rng is not None:
                     u0[i, 0] = float(rng.uniform(-bound, bound))
                     u0[i, 1] = float(rng.uniform(-bound, bound))
@@ -405,9 +403,8 @@ class PopulationMeasurer:
             # sweep): per-device NumPy array ops already amortize well,
             # and the time-stepped device-axis loop would not — run the
             # reference modulator per device, wired to the job's RNG.
-            i1, i2, overload = self._per_device_counts(entries, responses, u0)
+            i1, i2, overload = self._per_device_counts(rngs, responses, u0)
         else:
-            rngs = [rng for _, _, rng in entries]
             noise1 = self._draw_noise(channel1, rngs)
             noise2 = self._draw_noise(channel2, rngs)
             # The modulation bits are +/-1, so |q * x| == |x| exactly:
@@ -426,13 +423,13 @@ class PopulationMeasurer:
         amplitude, phase = self._intervals(i1, i2)
         if config.image_compensation:
             amplitude, phase = self._compensate(
-                amplitude, phase, [e[0] for e in entries]
+                amplitude, phase, population.responds_continuous
             )
         gain = amplitude.div_scalar(self.calibration.amplitude).clamp_nonnegative()
         phase_rad = phase.sub_scalar(self.calibration.phase)
 
         results = []
-        for i, (dut, fwave, _) in enumerate(entries):
+        for i, fwave in enumerate(fwaves):
             signature = SignaturePair(
                 i1=int(i1[i]),
                 i2=int(i2[i]),
@@ -467,8 +464,8 @@ class PopulationMeasurer:
         return results
 
     # ------------------------------------------------------------------
-    def _noisy_responses(self, entries, leads) -> np.ndarray:
-        """Per-device noise-perturbed stimuli, rendered as one batch.
+    def _noisy_stimuli(self, rngs, leads: np.ndarray) -> list[np.ndarray]:
+        """Per-device noise-perturbed held stimuli, rendered as one batch.
 
         A noisy generator gives every job its own stimulus: the biquad's
         two amplifiers each draw one noise sample per generator step
@@ -485,7 +482,6 @@ class PopulationMeasurer:
         """
         config = self.config
         m = self.m_periods
-        n = OVERSAMPLING_RATIO
         settle_head = config.generator_settle_periods
         generator = self._template_generator()
         biquad = generator.biquad
@@ -493,16 +489,16 @@ class PopulationMeasurer:
         amp1, amp2 = biquad.opamp1, biquad.opamp2
         rms = amp1.noise_rms
 
-        n_devices = len(entries)
+        n_devices = len(rngs)
         steps = [
-            (settle_head + lead + m) * GENERATOR_STEPS for lead in leads
+            (settle_head + lead + m) * GENERATOR_STEPS for lead in leads.tolist()
         ]
         max_steps = max(steps)
         charges = generator.control.charge_sequence(max_steps)
 
         noise1 = np.zeros((max_steps, n_devices))
         noise2 = np.zeros((max_steps, n_devices))
-        for i, ((_, _, rng), k) in enumerate(zip(entries, steps)):
+        for i, (rng, k) in enumerate(zip(rngs, steps)):
             if rng is not None:
                 draws = rng.normal(0.0, rms, size=2 * k)
                 # The reference accumulates each draw into `total = 0.0`
@@ -531,26 +527,25 @@ class PopulationMeasurer:
             q = charges[i]
             target1 = leak1 * v1 - gain1 * ((q + a * v2) + boff1) / be + noise1[i]
             v1 = target1 - se1 * (target1 - v1)
-            np.clip(v1, -vs1, vs1, out=v1)
+            np.maximum(v1, -vs1, out=v1)
+            np.minimum(v1, vs1, out=v1)
             target2 = leak2 * v2 + g2c2 * (v1 + off2) + noise2[i]
             v2 = target2 - se2 * (target2 - v2)
-            np.clip(v2, -vs2, vs2, out=v2)
+            np.maximum(v2, -vs2, out=v2)
+            np.minimum(v2, vs2, out=v2)
             out[i] = v2
 
         hold = OVERSAMPLING_RATIO // GENERATOR_STEPS
         head = settle_head * GENERATOR_STEPS
-        responses = np.empty((n_devices, self.mn))
-        for i, ((dut, fwave, _), lead) in enumerate(zip(entries, leads)):
-            samples = out[head : head + (lead + m) * GENERATOR_STEPS, i]
-            held = np.repeat(samples, hold)
-            output = dut.batch_response(held, fwave * n)
-            responses[i] = output[lead * n : lead * n + self.mn]
-        return responses
+        return [
+            np.repeat(out[head : head + (lead + m) * GENERATOR_STEPS, i], hold)
+            for i, lead in enumerate(leads.tolist())
+        ]
 
     # ------------------------------------------------------------------
     def _per_device_counts(
         self,
-        entries,
+        rngs,
         responses: np.ndarray,
         u0: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -563,11 +558,11 @@ class PopulationMeasurer:
         channel1 = self.evaluator.channel1
         channel2 = self.evaluator.channel2
         chopped = self.config.chopped
-        n = len(entries)
+        n = len(rngs)
         i1 = np.empty(n, dtype=np.int64)
         i2 = np.empty(n, dtype=np.int64)
         overload = np.empty(n, dtype=np.int64)
-        for i, (_, _, rng) in enumerate(entries):
+        for i, rng in enumerate(rngs):
             modulator1 = FirstOrderSigmaDelta(
                 gain=channel1.gain,
                 vref=channel1.vref,
@@ -664,13 +659,12 @@ class PopulationMeasurer:
         return amplitude, phase
 
     def _compensate(
-        self, amplitude: BoundedArray, phase: BoundedArray, duts
+        self, amplitude: BoundedArray, phase: BoundedArray, continuous: np.ndarray
     ) -> tuple[BoundedArray, BoundedArray]:
         """Array form of the analyzer's systematic compensation (k = 1)."""
         config = self.config
         n = OVERSAMPLING_RATIO
         budget = compensation.leakage_budget(1, n)
-        continuous = np.array([dut.responds_continuous for dut in duts])
         droop = compensation.zoh_fundamental_droop(n)
         bypass = compensation.bypass_response(1, PAPER_CAPACITORS)
         amp_factor = np.where(continuous, 1.0 / droop, 1.0 / abs(bypass))
@@ -715,11 +709,13 @@ def run_sweep_vectorized(
     """
     if measurer is None:
         measurer = PopulationMeasurer(config, m_periods, calibration)
-    entries = [
-        (dut, float(f), _job_rng(config, "sweep", start_index + i))
-        for i, f in enumerate(frequencies)
+    frequencies = list(frequencies)
+    rngs = [
+        _job_rng(config, "sweep", start_index + i) for i in range(len(frequencies))
     ]
-    return measurer.measure(entries)
+    return measurer.measure(
+        population_of([dut] * len(frequencies)), frequencies, rngs
+    )
 
 
 def run_fault_trials_vectorized(
@@ -742,24 +738,22 @@ def run_fault_trials_vectorized(
     """
     if measurer is None:
         measurer = PopulationMeasurer(config, m_periods, calibration)
-    duts = list(duts)
-    measurer.reserve(duts, frequencies)
+    population = population_of(duts)
+    n_devices = len(population)
+    measurer.reserve(population, frequencies)
     rngs = [
-        _job_rng(config, stream, start_index + i) for i in range(len(duts))
+        _job_rng(config, stream, start_index + i) for i in range(n_devices)
     ]
     per_frequency = [
-        measurer.measure(
-            [(dut, float(f), rng) for dut, rng in zip(duts, rngs)]
-        )
-        for f in frequencies
+        measurer.measure(population, [f] * n_devices, rngs) for f in frequencies
     ]
     return [
-        tuple(slot[i] for slot in per_frequency) for i in range(len(duts))
+        tuple(slot[i] for slot in per_frequency) for i in range(n_devices)
     ]
 
 
 def run_trials_vectorized(
-    devices,
+    components,
     mask,
     program,
     config: AnalyzerConfig,
@@ -769,38 +763,41 @@ def run_trials_vectorized(
 ) -> list:
     """A Monte-Carlo lot batched per program frequency.
 
-    ``devices`` are the lot's pre-built DUTs — the dispatcher draws
-    their component values exactly as the reference path draws them
-    (one seeded RNG, device order), which keeps the population
-    identical across backends *and* across chunk boundaries; the
-    measurements then run as one slot per program frequency, and the
-    go/no-go verdicts reuse the same tri-state interval logic.
-    ``start_index`` is the lot index of ``devices[0]``.
+    ``components`` is the lot's ``(n, 5)`` component array — the
+    dispatcher draws it exactly as the reference path draws device
+    values (one seeded RNG, device order; see
+    :meth:`~repro.dut.active_rc.FilterComponents.tolerance_spread`),
+    which keeps the population identical across backends *and* across
+    chunk boundaries.  The lot becomes one stacked
+    :class:`~repro.dut.population.LTIPopulation` (no per-device
+    objects); the measurements run as one slot per program frequency,
+    the go/no-go verdicts reuse the same tri-state interval logic, and
+    the golden classification is one stacked gain evaluation.
+    ``start_index`` is the lot index of ``components[0]``.
     """
-    from ..bist.montecarlo import DeviceTrial, _truly_good
+    from ..bist.montecarlo import DeviceTrial, truly_good_rows
     from ..bist.program import BISTReport, point_verdict
 
-    devices = list(devices)
-    n_devices = len(devices)
+    population = LTIPopulation.from_components(components)
+    n_devices = len(population)
     job_rngs = [
         _job_rng(config, "trial", start_index + i) for i in range(n_devices)
     ]
     if measurer is None:
         measurer = PopulationMeasurer(config, program.m_periods, calibration)
-    measurer.reserve(devices, program.frequencies)
+    measurer.reserve(population, program.frequencies)
     points: list[list] = [[] for _ in range(n_devices)]
     for f in program.frequencies:
-        slot = measurer.measure(
-            [(device, f, job_rng) for device, job_rng in zip(devices, job_rngs)]
-        )
+        slot = measurer.measure(population, [f] * n_devices, job_rngs)
         lo, hi = program.mask.limits_at(f)
         for i, measurement in enumerate(slot):
             points[i].append(point_verdict(f, measurement.gain_db, lo, hi))
+    good = truly_good_rows(population, mask, program.frequencies)
     return [
         DeviceTrial(
             device_index=start_index + i,
             verdict=BISTReport(points=tuple(points[i])).verdict,
-            truly_good=_truly_good(devices[i], mask, program.frequencies),
+            truly_good=bool(good[i]),
         )
         for i in range(n_devices)
     ]

@@ -13,7 +13,8 @@ before the next request is read.  A ``submit`` streams the job live —
 ``ack``, then every ``state``/``step`` frame as the scheduler emits it,
 down to the terminal ``result`` or ``error`` frame.  Malformed requests
 answer with a single ``error`` frame naming the offending field and
-leave the connection open.
+leave the connection open; so does a request line longer than
+:data:`MAX_REQUEST_BYTES`, which is skipped through its newline.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .wire import (
 #: Default bind host — the service is a lab-bench tool, not an
 #: internet-facing one; bind a specific interface explicitly to share it.
 DEFAULT_HOST = "127.0.0.1"
+
+#: Longest accepted request line in bytes (asyncio's default stream
+#: limit, made explicit): a longer line is answered with an ``error``
+#: frame naming this bound.
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 class AnalyzerServer:
@@ -75,7 +81,10 @@ class AnalyzerServer:
         if self._server is not None:
             raise ServiceError("server is already started")
         self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self._requested_port
+            self._handle,
+            host=self.host,
+            port=self._requested_port,
+            limit=MAX_REQUEST_BYTES,
         )
         return self
 
@@ -111,7 +120,16 @@ class AnalyzerServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                line, overlong = await _read_request_line(reader)
+                if overlong:
+                    await self._send(
+                        writer,
+                        error_frame(
+                            f"request line exceeds the "
+                            f"{MAX_REQUEST_BYTES}-byte limit"
+                        ),
+                    )
+                    continue
                 if not line:
                     return
                 if not line.strip():
@@ -184,6 +202,32 @@ class AnalyzerServer:
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, frame: dict) -> None:
         await _write_line(writer, encode_frame(frame))
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> tuple[bytes, bool]:
+    """``(line, overlong)``: the next request line, ``b""`` at EOF.
+
+    A line longer than the reader's limit is consumed through its
+    newline (or to EOF) in limit-sized pieces, so the stream stays in
+    step and memory stays bounded, and comes back as ``(b"", True)``.
+    """
+    try:
+        return await reader.readuntil(b"\n"), False
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial, False
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # The overrun bytes are buffered and hold no newline: drop them.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            pass
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+            continue
+        return b"", True
 
 
 async def _write_line(writer: asyncio.StreamWriter, line: str) -> None:

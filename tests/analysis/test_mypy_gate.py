@@ -18,12 +18,14 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The acceptance surface: strict typing on the public seam, the service
-#: layer built on top of it, and the two foundational leaf modules.
+#: layer built on top of it, the two foundational leaf modules, and the
+#: population DUT model.
 STRICT_TARGETS = [
     "src/repro/api",
     "src/repro/service",
     "src/repro/engine/seeding.py",
     "src/repro/intervals.py",
+    "src/repro/dut/population.py",
 ]
 
 
@@ -57,5 +59,5 @@ def test_setup_ships_py_typed():
 def test_mypy_config_covers_targets():
     text = (REPO_ROOT / "mypy.ini").read_text(encoding="utf-8")
     for section in ("repro.api", "repro.service", "repro.engine.seeding",
-                    "repro.intervals"):
+                    "repro.intervals", "repro.dut.population"):
         assert section in text

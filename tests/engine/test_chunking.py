@@ -9,6 +9,7 @@ and an unchunked run's trace is byte-identical to the pre-chunking
 layout (chunk spans appear only when chunking is requested).
 """
 
+import numpy as np
 import pytest
 
 from repro.bist.limits import SpecMask
@@ -137,6 +138,98 @@ class TestExactChannelInvariance:
             )
         )
         assert tail == whole[2:]
+
+
+def trial_key(trials):
+    return [(t.device_index, t.verdict, t.truly_good) for t in trials]
+
+
+class TestYieldLotPopulationPath:
+    """Yield lots run as stacked populations drawn one array per chunk.
+
+    The lot is a function of its seed alone: chunk boundaries, the
+    ``start_index`` of a slice and the backend change nothing in the
+    exact channel (verdicts and golden classification).
+    """
+
+    NOMINAL = design_mfb_lowpass(1000.0)
+    FREQUENCIES = (1000.0,)
+
+    def program(self, m_periods, tolerance_db):
+        mask = SpecMask.from_golden(
+            ActiveRCLowpass(self.NOMINAL), self.FREQUENCIES,
+            tolerance_db=tolerance_db,
+        )
+        return mask, BISTProgram(mask, self.FREQUENCIES, m_periods=m_periods)
+
+    def test_chunk_sizes_leave_the_lot_unchanged(self):
+        mask, program = self.program(2, 1.0)
+        kwargs = dict(
+            n_devices=300, component_sigma=0.05, seed=5,
+            config=AnalyzerConfig.ideal(m_periods=2),
+        )
+
+        def run(chunk):
+            return trial_key(
+                BatchRunner(backend="vectorized", chunk_size=chunk).run_trials(
+                    self.NOMINAL, mask, program, **kwargs
+                )
+            )
+
+        unchunked = run(None)
+        for chunk in (1, 7, 250):
+            assert run(chunk) == unchunked
+
+    def test_start_index_slices_compose(self):
+        from repro.engine.vectorized import run_trials_vectorized
+
+        mask, program = self.program(M, 2.0)
+        runner = BatchRunner(backend="vectorized")
+        calibration = runner.calibration_for(NOISY, 1000.0, M)
+        components = self.NOMINAL.tolerance_spread(
+            0.05, np.random.default_rng(8), 30
+        )
+        whole = trial_key(
+            run_trials_vectorized(components, mask, program, NOISY, calibration)
+        )
+        pieces = []
+        for start, stop in ((0, 11), (11, 12), (12, 30)):
+            pieces += trial_key(
+                run_trials_vectorized(
+                    components[start:stop], mask, program, NOISY, calibration,
+                    start_index=start,
+                )
+            )
+        assert pieces == whole
+        lot = trial_key(
+            BatchRunner(backend="vectorized", chunk_size=7).run_trials(
+                self.NOMINAL, mask, program, n_devices=30,
+                component_sigma=0.05, seed=8, config=NOISY,
+            )
+        )
+        assert lot == whole
+
+    def test_large_spread_lot_matches_the_reference_backend(self):
+        """2000 devices at sigma 0.05 against a 0.5 dB mask: most
+        verdicts sit near a limit, so a one-ulp slip in the DUT model
+        would flip some of them."""
+        mask, program = self.program(20, 0.5)
+        kwargs = dict(
+            n_devices=2000, component_sigma=0.05, seed=2024,
+            config=AnalyzerConfig.ideal(m_periods=20),
+        )
+        vectorized = trial_key(
+            BatchRunner(backend="vectorized", chunk_size=250).run_trials(
+                self.NOMINAL, mask, program, **kwargs
+            )
+        )
+        reference = trial_key(
+            BatchRunner().run_trials(self.NOMINAL, mask, program, **kwargs)
+        )
+        assert vectorized == reference
+        verdicts = {verdict for _, verdict, _ in vectorized}
+        assert verdicts == {"pass", "fail", "ambiguous"}
+        assert {good for _, _, good in vectorized} == {True, False}
 
 
 class TestChunkSpans:

@@ -19,6 +19,7 @@ from repro.service import (
     status_request,
     submit_request,
 )
+from repro.service.server import MAX_REQUEST_BYTES
 
 SMALL = AnalyzerSettings(m_periods=20)
 POLICY = ExecutionPolicy(backend="vectorized", n_workers=2, chunk_size=2)
@@ -139,6 +140,36 @@ class TestProtocolErrors:
         assert "JSON" in frames[0]["message"]
         # The connection survived and served the next request.
         assert frames[1]["type"] == "status"
+
+    def test_overlong_request_line_gets_an_error_frame_naming_the_limit(self):
+        request = encode_request(status_request())
+
+        def go(port: int):
+            overlong = "x" * (70 * 1024)
+            frames = raw_lines(port, [overlong, request])
+            # A fresh connection is served normally too.
+            return frames, ServiceClient(port=port).status()
+
+        frames, status = asyncio.run(with_server(go))
+        assert frames[0]["type"] == "error"
+        assert str(MAX_REQUEST_BYTES) in frames[0]["message"]
+        # The rest of the long line was skipped, not parsed as a request:
+        # the same connection answers the next line in step.
+        assert frames[1]["type"] == "status"
+        assert "jobs" in status
+
+    def test_overlong_line_closed_by_eof_still_gets_an_error_frame(self):
+        def go(port: int):
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"y" * (MAX_REQUEST_BYTES + 10))
+                sock.shutdown(socket.SHUT_WR)
+                return sock.makefile("rb").read()
+
+        replies = asyncio.run(with_server(go)).splitlines()
+        assert len(replies) == 1
+        frame = json.loads(replies[0])
+        assert frame["type"] == "error"
+        assert str(MAX_REQUEST_BYTES) in frame["message"]
 
     def test_wrong_format_and_version_are_rejected(self):
         def go(port: int):
